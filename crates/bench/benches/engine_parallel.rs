@@ -9,25 +9,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gradpim_dram::{AddressMapping, DramConfig, MemError, MemorySystem};
-use gradpim_engine::{sweeps, Engine};
+use gradpim_engine::serialize::{Experiment, ExperimentSpec};
+use gradpim_engine::Engine;
 use gradpim_workloads::models;
 
 fn bench_sweep_scheduler(c: &mut Criterion) {
     // A 6-point Fig. 12b sweep (two networks × three batch sizes) with
     // small traffic caps: enough work per point to dominate scheduling
     // overhead, small enough to iterate.
-    let nets = [models::mlp(), models::resnet18()];
-    let quick = Some((1500u64, 20_000usize));
-    let expect = sweeps::batch_sweep(&nets, quick, &Engine::sequential()).unwrap();
+    let nets = vec![models::mlp().name, models::resnet18().name];
+    let spec = ExperimentSpec::new(Experiment::Fig12b, Some((1500, 20_000)), Some(nets));
+    let expect = spec.run(&Engine::sequential()).unwrap();
     let mut g = c.benchmark_group("engine_sweep");
     g.sample_size(10);
     for threads in [1usize, 4] {
         let engine = Engine::new(threads);
         g.bench_function(format!("fig12b_6pts_threads{threads}"), |b| {
             b.iter(|| {
-                let pts = sweeps::batch_sweep(&nets, quick, &engine).unwrap();
-                assert_eq!(pts, expect, "threaded sweep diverged");
-                pts.len()
+                let report = spec.run(&engine).unwrap();
+                assert_eq!(report, expect, "threaded sweep diverged");
+                report.rows.len()
             })
         });
     }

@@ -7,7 +7,7 @@
 //! toward GPU-class ratios (HBM).
 
 use gradpim_bench::banner;
-use gradpim_sim::sweeps::ops_bandwidth_sweep;
+use gradpim_sim::sweeps::{ops_bandwidth_specs, OpsBwPoint, OpsBwSpec};
 use gradpim_workloads::models;
 
 fn main() {
@@ -17,7 +17,11 @@ fn main() {
     } else {
         Some((12 * 1024u64, 96 * 1024usize))
     };
-    let pts = ops_bandwidth_sweep(&models::alphago_zero(), quick).expect("simulation failed");
+    let pts: Vec<OpsBwPoint> = ops_bandwidth_specs(&models::alphago_zero(), quick)
+        .iter()
+        .map(OpsBwSpec::run)
+        .collect::<Result<_, _>>()
+        .expect("simulation failed");
     println!("{:<12} {:>8} {:>16} {:>12}", "memory", "MAC dim", "ops/byte", "speedup %");
     for p in &pts {
         println!(

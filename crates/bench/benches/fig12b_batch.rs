@@ -5,7 +5,7 @@
 //! batches.
 
 use gradpim_bench::{banner, networks};
-use gradpim_sim::sweeps::batch_sweep;
+use gradpim_sim::sweeps::{batch_specs, BatchPoint, BatchSpec};
 
 fn main() {
     banner("Fig. 12b", "Speedup (%) vs minibatch size");
@@ -15,7 +15,11 @@ fn main() {
         Some((12 * 1024u64, 96 * 1024usize))
     };
     let nets = networks();
-    let pts = batch_sweep(&nets, quick).expect("simulation failed");
+    let pts: Vec<BatchPoint> = batch_specs(&nets, quick)
+        .iter()
+        .map(BatchSpec::run)
+        .collect::<Result<_, _>>()
+        .expect("simulation failed");
     println!("{:<14} {:>8} {:>8} {:>8}", "network", "b=16", "b=32", "b=64");
     for net in &nets {
         let row: Vec<f64> = [16, 32, 64]

@@ -7,7 +7,7 @@
 
 use gradpim_bench::{banner, networks};
 use gradpim_optim::PrecisionMix;
-use gradpim_sim::sweeps::precision_sweep;
+use gradpim_sim::sweeps::{precision_specs, PrecisionPoint, PrecisionSpec};
 
 fn main() {
     banner("Fig. 12d", "Energy over baseline (%) per precision mix (lower is better)");
@@ -17,7 +17,11 @@ fn main() {
         Some((12 * 1024u64, 96 * 1024usize))
     };
     let nets = networks();
-    let pts = precision_sweep(&nets, quick).expect("simulation failed");
+    let pts: Vec<PrecisionPoint> = precision_specs(&nets, quick)
+        .iter()
+        .map(PrecisionSpec::run)
+        .collect::<Result<_, _>>()
+        .expect("simulation failed");
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>12}",
         "network", "8b/32b", "16b/32b", "8b/16b", "32b/32b"

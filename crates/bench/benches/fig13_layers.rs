@@ -6,7 +6,7 @@
 //! little, late convs and FC layers gain 2–3.5×.
 
 use gradpim_bench::{banner, networks};
-use gradpim_sim::sweeps::layer_scatter;
+use gradpim_sim::sweeps::{layer_specs, LayerPoint, LayerSpec};
 
 fn main() {
     banner("Fig. 13", "Per-layer speedup (%) vs weight/activation ratio");
@@ -16,7 +16,11 @@ fn main() {
         Some((4 * 1024u64, 48 * 1024usize))
     };
     let nets = networks();
-    let mut pts = layer_scatter(&nets, quick).expect("simulation failed");
+    let mut pts: Vec<LayerPoint> = layer_specs(&nets, quick)
+        .iter()
+        .map(LayerSpec::run)
+        .collect::<Result<_, _>>()
+        .expect("simulation failed");
     pts.sort_by(|a, b| a.ratio.total_cmp(&b.ratio));
     println!("{:<14} {:<16} {:>14} {:>12}", "network", "layer", "W/A ratio", "speedup %");
     for p in &pts {

@@ -46,9 +46,7 @@
 //! defaults (combine with `GRADPIM_FULL=1` to remove caps entirely).
 //! `check report` parses a previously emitted report JSON and reports its
 //! shape — a cheap integrity gate for scripted pipelines; `check trace`
-//! and `check cache` do the same for trace files and cache stores. The
-//! older `check-report FILE` / `check-trace FILE` spellings remain as
-//! deprecated aliases.
+//! and `check cache` do the same for trace files and cache stores.
 //!
 //! Caching: `--cache DIR` (or ambient `GRADPIM_CACHE`) attaches a
 //! content-addressed on-disk result store ([`gradpim_engine::cache`]).
@@ -63,10 +61,9 @@
 //! ship their spans back piggybacked on the report protocol and the
 //! coordinator merges them onto one timeline. `--metrics PATH` writes the
 //! unified metrics registry (scheduler counters, per-phase histograms) as
-//! JSON; `GRADPIM_SCHED_STATS=1` renders the same registry to stderr.
-//! Both artifacts are emitted after — and entirely off — the report
+//! JSON. Both artifacts are emitted after — and entirely off — the report
 //! stream, and a traced run's report is byte-identical to an untraced
-//! one. `check-trace` validates an emitted trace and prints its shape.
+//! one. `check trace` validates an emitted trace and prints its shape.
 
 #![forbid(unsafe_code)]
 
@@ -109,11 +106,9 @@ enum Mode {
     /// Worker mode: execute one shard sub-spec (`-` = stdin) and print
     /// its report JSON.
     ShardWorker(String),
-    /// Parse a report JSON and print its shape (`check report`, plus the
-    /// deprecated `check-report` alias).
+    /// Parse a report JSON and print its shape (`check report`).
     CheckReport(String),
-    /// Parse a Chrome-trace JSON and print its shape (`check trace`, plus
-    /// the deprecated `check-trace` alias).
+    /// Parse a Chrome-trace JSON and print its shape (`check trace`).
     CheckTrace(String),
     /// Open a cache store and verify every entry (`check cache`).
     CheckCache(String),
@@ -196,10 +191,6 @@ fn usage() -> String {
     s.push_str("  cache {stats|clear|verify}   inspect or reset the result store\n");
     s.push_str("                               (from --cache DIR or GRADPIM_CACHE)\n");
     s.push_str("  shard-worker FILE|-   run one shard sub-spec, report JSON on stdout\n");
-    s.push_str(
-        "\ndeprecated (kept for existing scripts): `check-report FILE` and\n\
-         `check-trace FILE` are aliases of `check report` / `check trace`.\n",
-    );
     s
 }
 
@@ -313,16 +304,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     }
                 };
                 set_mode(&mut mode, Mode::Cache(cmd))?;
-            }
-            // Deprecated aliases of `check report` / `check trace`, kept so
-            // existing scripts and CI pipelines keep working unchanged.
-            "check-report" => {
-                let v = it.next().ok_or("check-report needs a report file path")?;
-                set_mode(&mut mode, Mode::CheckReport(v.clone()))?;
-            }
-            "check-trace" => {
-                let v = it.next().ok_or("check-trace needs a trace file path")?;
-                set_mode(&mut mode, Mode::CheckTrace(v.clone()))?;
             }
             "shard-worker" => {
                 let v = it.next().ok_or("shard-worker needs a spec file path (or `-`)")?;
@@ -450,31 +431,24 @@ fn entries(n: usize) -> String {
 }
 
 /// The shared rendering for `check {report|trace|cache}` validation
-/// failures (and their deprecated aliases): one shape, every artifact.
+/// failures: one shape, every artifact.
 fn check_failure(path: &str, what: &str, err: impl std::fmt::Display) -> CliError {
     CliError::Run(format!("`{path}` is not a valid {what}: {err}"))
 }
 
-/// Whether the `GRADPIM_SCHED_STATS=1` stderr rendering of the metrics
-/// registry was requested (the legacy alias for `--metrics`-style output).
-fn sched_stats_requested() -> bool {
-    gradpim_engine::env::sched_stats()
-}
-
-/// Turns span recording and metrics collection on per the run's arguments
-/// (and the `GRADPIM_SCHED_STATS=1` alias). Call before any work runs.
+/// Turns span recording and metrics collection on per the run's
+/// arguments. Call before any work runs.
 fn arm_observability(args: &Args) {
     if args.trace.is_some() {
         gradpim_obs::set_tracing(true);
     }
-    if args.metrics.is_some() || sched_stats_requested() {
+    if args.metrics.is_some() {
         gradpim_obs::set_metrics(true);
     }
 }
 
-/// Absorbs the engine's scheduler counters into the metrics registry —
-/// the single source both `--metrics PATH` and the `GRADPIM_SCHED_STATS=1`
-/// stderr dump render from.
+/// Absorbs the engine's scheduler counters into the metrics registry
+/// that `--metrics PATH` renders.
 fn record_sched_stats(engine: &Engine) {
     let s = engine.sched_stats();
     gradpim_obs::counter_set("sched.batches", s.batches);
@@ -486,16 +460,10 @@ fn record_sched_stats(engine: &Engine) {
     gradpim_obs::counter_set("sched.max_live", s.max_live as u64);
 }
 
-/// Emits the observability artifacts: the `GRADPIM_SCHED_STATS=1` stderr
-/// rendering, the `--metrics PATH` registry JSON, and the `--trace PATH`
-/// Chrome-trace JSON. Runs after the report has been emitted, so none of
-/// this can perturb the data stream.
+/// Emits the observability artifacts: the `--metrics PATH` registry JSON
+/// and the `--trace PATH` Chrome-trace JSON. Runs after the report has
+/// been emitted, so none of this can perturb the data stream.
 fn finish_observability(args: &Args) -> Result<(), CliError> {
-    if sched_stats_requested() {
-        for line in gradpim_obs::registry().to_json().lines() {
-            log(format!("metrics: {line}"));
-        }
-    }
     if let Some(path) = &args.metrics {
         std::fs::write(path, gradpim_obs::registry().to_json())
             .map_err(|e| CliError::Run(format!("cannot write `{path}`: {e}")))?;
@@ -740,9 +708,6 @@ fn run_shard_worker(path: &str, args: &Args) -> Result<(), CliError> {
     if sidecar {
         gradpim_obs::set_tracing(true);
     }
-    if sched_stats_requested() {
-        gradpim_obs::set_metrics(true);
-    }
     let doc = if path == "-" {
         let mut s = String::new();
         std::io::stdin()
@@ -774,13 +739,11 @@ fn run_shard_worker(path: &str, args: &Args) -> Result<(), CliError> {
         let _span = gradpim_obs::span_lazy(|| format!("cli.worker.{}", spec.experiment), "cli");
         spec.run(&engine).map_err(rt)?
     };
-    record_sched_stats(&engine);
     let mut text = report::to_json(&report);
     if sidecar {
         text = trace::report_with_sidecar(&text, &gradpim_obs::drain_spans());
     }
-    emit_output(args.output.as_deref(), &text)?;
-    finish_observability(args)
+    emit_output(args.output.as_deref(), &text)
 }
 
 fn main() -> ExitCode {

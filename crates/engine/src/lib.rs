@@ -15,9 +15,10 @@
 //! * **Across simulations** — sweep and experiment points (Fig. 12a–d,
 //!   13, 14) are independent. The [`pool`] module fans them over the
 //!   scheduler with deterministic, input-ordered result collection and
-//!   input-order-first error propagation; [`sweeps`] wires the
-//!   `gradpim_sim` spec enumerations through it, seeding dispatch with
-//!   the [`sched::cost`] model so the heaviest points start first.
+//!   input-order-first error propagation;
+//!   [`serialize::ExperimentSpec::run`] drives every sweep family through
+//!   it, seeding dispatch with the [`sched::cost`] model so the heaviest
+//!   points start first.
 //! * **Across processes** — the [`dist`] module splits one
 //!   [`serialize::ExperimentSpec`] into per-shard sub-specs, launches
 //!   worker processes (`gradpim-cli shard-worker`), retries crashed
@@ -42,16 +43,18 @@
 //! # Example
 //!
 //! ```
-//! use gradpim_engine::{sweeps, Engine};
+//! use gradpim_engine::serialize::{Experiment, ExperimentSpec};
+//! use gradpim_engine::Engine;
+//! use gradpim_sim::sweeps::{BatchSize, SweepFamily};
 //! use gradpim_workloads::models;
 //!
-//! let engine = Engine::new(2);
 //! let nets = [models::mlp()];
 //! let quick = Some((1500, 20_000)); // doc-sized traffic caps
-//! let points = sweeps::batch_sweep(&nets, quick, &engine)?;
-//! // Same points, same order, as the sequential sweep.
-//! assert_eq!(points, gradpim_sim::sweeps::batch_sweep(&nets, quick)?);
-//! # Ok::<(), gradpim_sim::PhaseError>(())
+//! let spec = ExperimentSpec::new(Experiment::Fig12b, quick, Some(vec![nets[0].name.clone()]));
+//! let report = spec.run(&Engine::new(2))?;
+//! // Same rows, same order, as the sequential reference.
+//! assert_eq!(report, BatchSize::report(&nets, quick)?);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 // `deny`, not the workspace-standard `forbid`: the scheduler's
@@ -328,6 +331,7 @@ fn resolve_threads(var: Option<&str>, auto: Option<usize>) -> (usize, Option<Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gradpim_sim::sweeps::{BatchSize, SweepFamily};
 
     #[test]
     fn threads_parsing() {
@@ -406,17 +410,19 @@ mod tests {
         }
         let nets = [gradpim_workloads::models::mlp()];
         let quick = Some((1500, 20_000));
-        let cold = sweeps::batch_sweep(&nets, quick, &Engine::sequential()).unwrap();
+        let specs = BatchSize::specs(&nets, quick);
+        let sweep = |engine: &Engine| engine.run(&specs, |_, s| BatchSize::run_spec(s)).unwrap();
+        let cold = sweep(&Engine::sequential());
         let store: Arc<dyn CacheBackend> = Arc::new(cache::MemCache::new());
         let engine = Engine::sequential().with_cache(store.clone());
         assert!(engine.cache().is_some());
-        let warm = sweeps::batch_sweep(&nets, quick, &engine).unwrap();
+        let warm = sweep(&engine);
         assert_eq!(warm, cold);
         let filled = store.stats();
         assert!(filled.entries > 0, "phase results must land in the store");
         // A second run is served from the memo: identical bytes, no new
         // entries.
-        let warm2 = sweeps::batch_sweep(&nets, quick, &engine).unwrap();
+        let warm2 = sweep(&engine);
         assert_eq!(warm2, cold);
         assert_eq!(store.stats(), filled);
     }

@@ -87,12 +87,17 @@ where
 {
     if inner.threads <= 1 || jobs.len() <= 1 {
         // Inline: fail-fast, so the watermark can never drop below a
-        // running job's index and cancellation never triggers.
+        // running job's index and cancellation never triggers. `jobs`
+        // counts each job that runs, as on the threaded path; the lazy
+        // collect stops at the first error, so later jobs are not counted.
         let never_failed = AtomicUsize::new(usize::MAX);
         return jobs
             .iter()
             .enumerate()
-            .map(|(i, job)| f(i, job, &Cancel { index: i, failed: &never_failed }))
+            .map(|(i, job)| {
+                inner.jobs.fetch_add(1, Ordering::Relaxed);
+                f(i, job, &Cancel { index: i, failed: &never_failed })
+            })
             .collect();
     }
     inner.batches.fetch_add(1, Ordering::Relaxed);

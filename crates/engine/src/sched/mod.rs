@@ -138,7 +138,9 @@ struct Sleep {
 pub struct SchedStats {
     /// Ordered batches executed on the parallel path.
     pub batches: u64,
-    /// Batch jobs executed (sweep points, shard launches, …).
+    /// Batch jobs executed (sweep points, shard launches, …), on the
+    /// parallel and the inline path alike, so the count does not depend
+    /// on the thread count.
     pub jobs: u64,
     /// Multi-channel drain segments executed as scheduler tasks — the
     /// intra-point parallelism counter: non-zero iff a drain ran through

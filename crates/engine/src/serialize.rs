@@ -8,7 +8,8 @@
 //! later hosts — and *execute* them (`gradpim-cli --run-spec`) with
 //! bit-identical results to an in-process run: [`ExperimentSpec::run`]
 //! goes through exactly the same sweep enumerations and simulations as
-//! the direct API, so the numbers cannot drift across the boundary.
+//! the sequential [`SweepFamily::report`], so the numbers cannot drift
+//! across the boundary.
 //!
 //! ```
 //! use gradpim_engine::serialize::{Experiment, ExperimentSpec};
@@ -38,8 +39,9 @@ use gradpim_workloads::{models, Network};
 
 use crate::json::{self, Json};
 use crate::report::ParseError;
+use crate::sched::cost::sweep_point_cycles;
 use crate::sweeps::{DesignSpace, Scaling};
-use crate::{cache, sweeps, Engine};
+use crate::{cache, Engine};
 
 /// The node counts of the Fig. 14 scaling study, shared by
 /// [`ExperimentSpec::run`] and [`ExperimentSpec::layout`] so the two can
@@ -410,10 +412,11 @@ impl ExperimentSpec {
 
     /// Executes the spec on `engine` and returns the structured results.
     /// Same enumerations, same simulations, same f64 arithmetic as the
-    /// direct sweep APIs — a spec that crossed a process boundary yields
-    /// **bit-identical** rows to an in-process run. A sharded spec runs
-    /// only its own row groups (see [`Shard`]) through the very same code
-    /// path, so shard slices cannot drift from the whole either.
+    /// family's sequential [`SweepFamily::report`] — a spec that crossed a
+    /// process boundary yields **bit-identical** rows to an in-process
+    /// run. A sharded spec runs only its own row groups (see [`Shard`])
+    /// through the very same code path, so shard slices cannot drift from
+    /// the whole either.
     ///
     /// When the engine carries a cache ([`Engine::with_cache`]), each row
     /// group is first looked up by content key (see [`crate::cache`]);
@@ -508,10 +511,14 @@ fn run_family<F: SweepFamily>(spec: &ExperimentSpec, engine: &Engine) -> Result<
         .filter(|(_, hit)| hit.is_none())
         .flat_map(|(group, _)| group.iter().cloned())
         .collect();
-    let costs = sweeps::costs_of(&jobs, F::workload);
-    let outs = engine.run_weighted(&jobs, &costs, |_, s: &F::Spec| {
-        sweeps::measured(F::workload(s), || F::run_spec(s))
-    })?;
+    let costs: Vec<u64> = jobs
+        .iter()
+        .map(|s| {
+            let (params, batch, channels) = F::workload(s);
+            sweep_point_cycles(params, batch, channels)
+        })
+        .collect();
+    let outs = engine.run_weighted(&jobs, &costs, |_, s: &F::Spec| F::run_spec(s))?;
 
     // Reassemble in group order, storing freshly computed groups back.
     let mut outs = outs.into_iter();
@@ -757,7 +764,7 @@ mod tests {
         let engine = Engine::sequential();
         let via_spec = spec.run(&engine).unwrap();
         let nets = [gradpim_workloads::models::mlp()];
-        let direct = gradpim_sim::sweeps::batch_report(&nets, QUICK).unwrap();
+        let direct = gradpim_sim::sweeps::BatchSize::report(&nets, QUICK).unwrap();
         assert_eq!(via_spec, direct);
         // And the same rows through a threaded engine.
         let threaded = spec.run(&Engine::new(3)).unwrap();

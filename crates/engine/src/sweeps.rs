@@ -1,136 +1,22 @@
-//! Parallel fronts for the `gradpim_sim` sweeps and experiments.
+//! The engine-side sweep families: the Fig. 9 design-space study
+//! ([`DesignSpace`]) and the Fig. 14 node-scaling study ([`Scaling`]).
 //!
-//! Each function enumerates the same specs as its sequential counterpart
-//! in `gradpim_sim::sweeps` / `gradpim_sim::distributed`, fans them across
-//! the [`Engine`]'s scheduler, and returns **exactly the same points in
-//! exactly the same order** — sweep points share no state, so per-point
-//! arithmetic is unchanged and only the wall clock shrinks. With a
-//! sequential engine ([`Engine::sequential`] / `GRADPIM_THREADS=1`) the
-//! calls are byte-for-byte the classic sequential sweeps.
-//!
-//! Dispatch is **cost-seeded**: every spec exposes its coarse workload
-//! shape (`params`, `batch`, `channels`), which
-//! [`crate::sched::cost::sweep_point_cycles`] turns into an estimated
-//! cycle count, and [`Engine::run_weighted`] starts the heaviest points
-//! first. A full fig09-style batch that ends with resnet50 no longer
-//! leaves its longest point to run alone on one worker after the rest of
-//! the pool has gone idle — and since the idle workers also steal the
-//! running point's multi-channel drain segments (see [`crate::sched`]),
-//! the tail shrinks twice over. Dispatch order is unobservable in the
-//! results.
-//!
-//! Under `GRADPIM_COST=measured` every job additionally records its
-//! wall-clock under its shape's [`cost::cost_key`], and later batches
-//! whose shapes are all priced switch from the static estimate to the
-//! observed durations (see [`cost::batch_costs`]). Like the estimate,
-//! measured costs only reorder dispatch — results are unchanged.
+//! The sensitivity sweeps' families live in `gradpim_sim::sweeps`; these
+//! two sit here because their row types fold several simulations into
+//! one row. Every family runs through one path:
+//! [`ExperimentSpec::run`](crate::serialize::ExperimentSpec::run)
+//! enumerates its row groups, serves cached groups, fans the rest across
+//! the [`Engine`](crate::Engine)'s scheduler (heaviest first, seeded by
+//! [`crate::sched::cost::sweep_point_cycles`]) and reassembles the rows in
+//! figure order. [`SweepFamily::report`] is the sequential reference that
+//! path must match byte for byte — sweep points share no state, so
+//! dispatch order is unobservable in the results.
 
 use gradpim_sim::distributed::{scaling_specs, DistReport, DistSpec};
-use gradpim_sim::report::{Kind, Report, Schema, SweepRow, ToRow};
-use gradpim_sim::sweeps::{
-    batch_specs, layer_specs, ops_bandwidth_specs, precision_specs, BatchPoint, BatchSpec,
-    LayerPoint, LayerSpec, OpsBwPoint, OpsBwSpec, PrecisionPoint, PrecisionSpec, QuickCaps,
-    SweepFamily,
-};
+use gradpim_sim::report::{Kind, Schema, SweepRow, ToRow};
+use gradpim_sim::sweeps::{QuickCaps, SweepFamily};
 use gradpim_sim::{Design, PhaseError, SystemConfig, TrainingReport, TrainingSim};
 use gradpim_workloads::Network;
-
-use crate::sched::cost;
-use crate::Engine;
-
-/// Dispatch cost per spec, from each spec's workload shape — the
-/// longest-first seed. Static [`cost::sweep_point_cycles`] estimates, or
-/// observed durations when measured-cost feedback has priced every shape
-/// (see [`cost::batch_costs`]).
-pub(crate) fn costs_of<T>(specs: &[T], workload: impl Fn(&T) -> (u64, usize, usize)) -> Vec<u64> {
-    let shapes: Vec<(u64, usize, usize)> = specs.iter().map(workload).collect();
-    cost::batch_costs(&shapes)
-}
-
-/// Runs one sweep job, recording its wall-clock under the shape's
-/// measured-cost key when `GRADPIM_COST=measured` feedback is on. The
-/// timing wraps the job from the outside, so results are untouched either
-/// way.
-pub(crate) fn measured<R, E>(
-    shape: (u64, usize, usize),
-    f: impl FnOnce() -> Result<R, E>,
-) -> Result<R, E> {
-    if !gradpim_obs::cost_feedback() {
-        return f();
-    }
-    let start = std::time::Instant::now();
-    let out = f();
-    let (params, batch, channels) = shape;
-    let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    gradpim_obs::record_measured_cost(&cost::cost_key(params, batch, channels), nanos);
-    out
-}
-
-/// Fig. 12a in parallel: speedup vs ops/bandwidth ratio.
-///
-/// # Errors
-///
-/// The first (input-order) [`PhaseError`] from any simulated point.
-pub fn ops_bandwidth_sweep(
-    net: &Network,
-    quick: QuickCaps,
-    engine: &Engine,
-) -> Result<Vec<OpsBwPoint>, PhaseError> {
-    let specs = ops_bandwidth_specs(net, quick);
-    let costs = costs_of(&specs, OpsBwSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &OpsBwSpec| measured(s.workload(), || s.run()))
-}
-
-/// Fig. 12b in parallel: speedup vs minibatch size.
-///
-/// # Errors
-///
-/// The first (input-order) [`PhaseError`] from any simulated point.
-pub fn batch_sweep(
-    nets: &[Network],
-    quick: QuickCaps,
-    engine: &Engine,
-) -> Result<Vec<BatchPoint>, PhaseError> {
-    let specs = batch_specs(nets, quick);
-    let costs = costs_of(&specs, BatchSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &BatchSpec| measured(s.workload(), || s.run()))
-}
-
-/// Fig. 12c/d in parallel: speedup and energy vs precision mix.
-///
-/// # Errors
-///
-/// The first (input-order) [`PhaseError`] from any simulated point.
-pub fn precision_sweep(
-    nets: &[Network],
-    quick: QuickCaps,
-    engine: &Engine,
-) -> Result<Vec<PrecisionPoint>, PhaseError> {
-    let specs = precision_specs(nets, quick);
-    let costs = costs_of(&specs, PrecisionSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &PrecisionSpec| measured(s.workload(), || s.run()))
-}
-
-/// Fig. 13 in parallel: per-layer speedup scatter.
-///
-/// # Errors
-///
-/// The first (input-order) [`PhaseError`] from any simulated point.
-pub fn layer_scatter(
-    nets: &[Network],
-    quick: QuickCaps,
-    engine: &Engine,
-) -> Result<Vec<LayerPoint>, PhaseError> {
-    let specs = layer_specs(nets, quick);
-    let costs = costs_of(&specs, LayerSpec::workload);
-    engine.run_weighted(&specs, &costs, |_, s: &LayerSpec| measured(s.workload(), || s.run()))
-}
-
-/// Workload shape of one Fig. 9 (network, design) job — [`costs_of`] and
-/// the [`measured`] wrap must key the same shape.
-fn design_shape((cfg, net): &(SystemConfig, Network)) -> (u64, usize, usize) {
-    (net.total_params() as u64, cfg.batch.unwrap_or(net.default_batch), cfg.base_dram.channels)
-}
 
 /// One row of the Fig. 9 design-space table: a network simulated on one
 /// design.
@@ -140,79 +26,6 @@ pub struct DesignPoint {
     pub design: Design,
     /// Full per-block training report.
     pub report: TrainingReport,
-}
-
-/// The column layout of [`design_space_report`] — `DesignPoint` carries a
-/// whole `TrainingReport`, so Fig. 9's tabular schema lives here rather
-/// than on a [`ToRow`] impl.
-pub fn design_space_schema() -> Schema {
-    Schema::new([
-        ("network", Kind::Str),
-        ("design", Kind::Str),
-        ("fwdbwd_ns", Kind::Float),
-        ("update_ns", Kind::Float),
-        ("total_ns", Kind::Float),
-        ("speedup", Kind::Float),
-    ])
-}
-
-/// Fig. 9 as a structured [`Report`]: one row per (network, design) point
-/// with the phase times and — when the point's network has a
-/// [`Design::Baseline`] row earlier in `points`, as [`design_space`] with
-/// [`Design::ALL`] always produces — the speedup over that baseline
-/// (`NaN` otherwise).
-pub fn design_space_report(points: &[DesignPoint]) -> Report {
-    let mut report = Report::new(design_space_schema());
-    let mut baseline: Option<(&str, f64)> = None;
-    for p in points {
-        if p.design == Design::Baseline {
-            baseline = Some((&p.report.network, p.report.total_time_ns()));
-        }
-        let speedup = match baseline {
-            Some((net, base_ns)) if net == p.report.network => base_ns / p.report.total_time_ns(),
-            _ => f64::NAN,
-        };
-        report.push(SweepRow::new([
-            p.report.network.as_str().into(),
-            p.design.to_string().into(),
-            p.report.fwdbwd_ns().into(),
-            p.report.update_ns().into(),
-            p.report.total_time_ns().into(),
-            speedup.into(),
-        ]));
-    }
-    report
-}
-
-/// Fig. 9 in parallel: every (network × design) training step, in
-/// network-major order.
-///
-/// # Errors
-///
-/// The first (input-order) [`PhaseError`] from any simulated point.
-pub fn design_space(
-    nets: &[Network],
-    designs: &[Design],
-    quick: QuickCaps,
-    engine: &Engine,
-) -> Result<Vec<DesignPoint>, PhaseError> {
-    let jobs: Vec<(SystemConfig, Network)> = nets
-        .iter()
-        .flat_map(|net| {
-            designs.iter().map(move |&d| {
-                let mut cfg = SystemConfig::new(d);
-                cfg.apply_quick(quick);
-                (cfg, net.clone())
-            })
-        })
-        .collect();
-    let costs = costs_of(&jobs, design_shape);
-    engine.run_weighted(&jobs, &costs, |_, job| {
-        measured(design_shape(job), || {
-            let (cfg, net) = job;
-            Ok(DesignPoint { design: cfg.design, report: TrainingSim::new(cfg.clone()).run(net)? })
-        })
-    })
 }
 
 /// One row of a Fig. 14-style node-scaling study.
@@ -266,45 +79,11 @@ impl ToRow for ScalingRow {
     }
 }
 
-/// Fig. 14 in parallel: distributed-training scaling across `node_counts`,
-/// baseline vs GradPIM-BD per row.
-///
-/// # Errors
-///
-/// The first (input-order) [`PhaseError`] from any simulated point.
-pub fn distributed_scaling(
-    net: &Network,
-    node_counts: &[usize],
-    quick: QuickCaps,
-    engine: &Engine,
-) -> Result<Vec<ScalingRow>, PhaseError> {
-    let specs = scaling_specs(net, node_counts, quick);
-    let costs = costs_of(&specs, DistSpec::workload);
-    let reports = engine
-        .run_weighted(&specs, &costs, |_, s: &DistSpec| measured(s.workload(), || s.run()))?;
-    // scaling_specs emits (baseline, gradpim) pairs per node count.
-    Ok(node_counts
-        .iter()
-        .zip(reports.chunks_exact(2))
-        .map(|(&nodes, pair)| ScalingRow {
-            network: net.name.clone(),
-            nodes,
-            baseline: pair[0],
-            gradpim: pair[1],
-        })
-        .collect())
-}
-
 /// The Fig. 9 design-space study as a [`SweepFamily`]: one row group per
 /// network, containing that network on every design of [`Design::ALL`]
-/// (network-major, exactly the [`design_space`] job order). The group is
-/// the unit of sharding *and* caching because each row's speedup column
-/// references the same group's `Baseline` row.
-///
-/// [`ExperimentSpec::run`](crate::serialize::ExperimentSpec::run)
-/// dispatches fig09 through this impl; [`design_space`] /
-/// [`design_space_report`] remain as thin direct-call surfaces over the
-/// same arithmetic.
+/// (network-major). The group is the unit of sharding *and* caching
+/// because each row's speedup column references the same group's
+/// `Baseline` row.
 #[derive(Debug, Clone, Copy)]
 pub struct DesignSpace;
 
@@ -329,8 +108,17 @@ impl SweepFamily for DesignSpace {
             .collect()
     }
 
+    /// `DesignPoint` carries a whole `TrainingReport`, so Fig. 9's tabular
+    /// schema lives here rather than on a [`ToRow`] impl.
     fn schema() -> Schema {
-        design_space_schema()
+        Schema::new([
+            ("network", Kind::Str),
+            ("design", Kind::Str),
+            ("fwdbwd_ns", Kind::Float),
+            ("update_ns", Kind::Float),
+            ("total_ns", Kind::Float),
+            ("speedup", Kind::Float),
+        ])
     }
 
     fn run_spec(spec: &Self::Spec) -> Result<Self::Out, PhaseError> {
@@ -338,23 +126,44 @@ impl SweepFamily for DesignSpace {
         Ok(DesignPoint { design: cfg.design, report: TrainingSim::new(cfg.clone()).run(net)? })
     }
 
-    fn workload(spec: &Self::Spec) -> (u64, usize, usize) {
-        design_shape(spec)
+    fn workload((cfg, net): &Self::Spec) -> (u64, usize, usize) {
+        (net.total_params() as u64, cfg.batch.unwrap_or(net.default_batch), cfg.base_dram.channels)
     }
 
+    /// One row per (network, design) point with the phase times and — when
+    /// the point's network has a [`Design::Baseline`] row earlier in the
+    /// group, as [`Design::ALL`] always puts first — the speedup over that
+    /// baseline (`NaN` otherwise).
     fn group_rows(_group: &[Self::Spec], outs: Vec<Self::Out>) -> Vec<SweepRow> {
-        // One group is one network, so the group-local baseline tracking
-        // is exactly design_space_report's whole-run tracking restricted
-        // to the group: byte-identical rows.
-        design_space_report(&outs).rows
+        let mut baseline: Option<(&str, f64)> = None;
+        let mut rows = Vec::with_capacity(outs.len());
+        for p in &outs {
+            if p.design == Design::Baseline {
+                baseline = Some((&p.report.network, p.report.total_time_ns()));
+            }
+            let speedup = match baseline {
+                Some((net, base_ns)) if net == p.report.network => {
+                    base_ns / p.report.total_time_ns()
+                }
+                _ => f64::NAN,
+            };
+            rows.push(SweepRow::new([
+                p.report.network.as_str().into(),
+                p.design.to_string().into(),
+                p.report.fwdbwd_ns().into(),
+                p.report.update_ns().into(),
+                p.report.total_time_ns().into(),
+                speedup.into(),
+            ]));
+        }
+        rows
     }
 }
 
 /// The Fig. 14 node-scaling study as a [`SweepFamily`]: one row group per
 /// (network, node count) pair — a consecutive (baseline, GradPIM-BD)
 /// [`DistSpec`] pair folding into a single [`ScalingRow`]. Node counts are
-/// the experiment's fixed [`crate::serialize::FIG14_NODES`]; for arbitrary
-/// node counts use [`distributed_scaling`] directly.
+/// the experiment's fixed [`crate::serialize::FIG14_NODES`].
 #[derive(Debug, Clone, Copy)]
 pub struct Scaling;
 
@@ -410,35 +219,49 @@ impl SweepFamily for Scaling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serialize::{Experiment, ExperimentSpec, FIG14_NODES};
+    use crate::Engine;
+    use gradpim_sim::report::Value;
+    use gradpim_sim::sweeps::BatchSize;
     use gradpim_workloads::models;
 
     const QUICK: QuickCaps = Some((1500, 20_000));
 
+    fn float(v: &Value) -> f64 {
+        match v {
+            Value::Float(x) => *x,
+            other => panic!("expected a float cell, got {other:?}"),
+        }
+    }
+
+    fn mlp_spec(experiment: Experiment) -> ExperimentSpec {
+        ExperimentSpec::new(experiment, QUICK, Some(vec![models::mlp().name]))
+    }
+
     #[test]
     fn parallel_batch_sweep_is_bit_identical_to_sequential() {
-        let nets = [models::mlp()];
-        let seq = gradpim_sim::sweeps::batch_sweep(&nets, QUICK).unwrap();
-        let par = batch_sweep(&nets, QUICK, &Engine::new(3)).unwrap();
+        let seq = BatchSize::report(&[models::mlp()], QUICK).unwrap();
+        let par = mlp_spec(Experiment::Fig12b).run(&Engine::new(3)).unwrap();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn design_space_orders_network_major() {
-        let nets = [models::mlp()];
-        let designs = [Design::Baseline, Design::GradPimBuffered];
-        let pts = design_space(&nets, &designs, QUICK, &Engine::new(2)).unwrap();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].design, Design::Baseline);
-        assert_eq!(pts[1].design, Design::GradPimBuffered);
-        assert!(pts[0].report.total_time_ns() > pts[1].report.total_time_ns());
+        let rep = mlp_spec(Experiment::Fig09).run(&Engine::new(2)).unwrap();
+        assert_eq!(rep.rows.len(), Design::ALL.len());
+        let designs: Vec<String> = rep.rows.iter().map(|r| r.values[1].to_string()).collect();
+        let expect: Vec<String> = Design::ALL.iter().map(ToString::to_string).collect();
+        assert_eq!(designs, expect);
+        let total = |i: usize| float(&rep.rows[i].values[4]);
+        let pim = Design::ALL.iter().position(|&d| d == Design::GradPimBuffered).unwrap();
+        assert!(total(0) > total(pim));
     }
 
     #[test]
     fn design_space_family_matches_the_report_path() {
         let nets = [models::mlp()];
-        let pts = design_space(&nets, &Design::ALL, QUICK, &Engine::sequential()).unwrap();
-        let old = design_space_report(&pts);
-        assert_eq!(DesignSpace::report(&nets, QUICK).unwrap(), old);
+        let seq = DesignSpace::report(&nets, QUICK).unwrap();
+        assert_eq!(mlp_spec(Experiment::Fig09).run(&Engine::sequential()).unwrap(), seq);
         let layout: Vec<usize> = DesignSpace::groups(&nets, QUICK)
             .iter()
             .map(|g| DesignSpace::rows_per_group(g))
@@ -449,25 +272,34 @@ mod tests {
     #[test]
     fn scaling_family_matches_distributed_scaling() {
         let net = models::mlp();
-        let nodes = crate::serialize::FIG14_NODES;
-        let rows = distributed_scaling(&net, &nodes, QUICK, &Engine::sequential()).unwrap();
-        let old = Report::from_points(&rows);
+        let direct: Vec<SweepRow> = scaling_specs(&net, &FIG14_NODES, QUICK)
+            .chunks_exact(2)
+            .map(|pair| {
+                ScalingRow {
+                    network: net.name.clone(),
+                    nodes: pair[0].dist.nodes,
+                    baseline: pair[0].run().unwrap(),
+                    gradpim: pair[1].run().unwrap(),
+                }
+                .row()
+            })
+            .collect();
         let nets = [net];
-        assert_eq!(Scaling::report(&nets, QUICK).unwrap(), old);
+        assert_eq!(Scaling::report(&nets, QUICK).unwrap().rows, direct);
         let layout: Vec<usize> =
             Scaling::groups(&nets, QUICK).iter().map(|g| Scaling::rows_per_group(g)).collect();
-        assert_eq!(layout, vec![1; nodes.len()]);
+        assert_eq!(layout, vec![1; FIG14_NODES.len()]);
     }
 
     #[test]
     fn distributed_scaling_rows_pair_up() {
-        let net = models::mlp();
-        let rows = distributed_scaling(&net, &[2, 4], QUICK, &Engine::new(2)).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].nodes, 2);
-        assert_eq!(rows[1].nodes, 4);
-        for r in &rows {
-            assert!(r.speedup() > 1.0, "nodes={} speedup {}", r.nodes, r.speedup());
+        let rep = mlp_spec(Experiment::Fig14).run(&Engine::new(2)).unwrap();
+        let nodes: Vec<String> = rep.rows.iter().map(|r| r.values[1].to_string()).collect();
+        let expect: Vec<String> = FIG14_NODES.iter().map(ToString::to_string).collect();
+        assert_eq!(nodes, expect);
+        for r in &rep.rows[1..] {
+            let speedup = float(&r.values[8]);
+            assert!(speedup > 1.0, "nodes={} speedup {speedup}", r.values[1]);
         }
     }
 }

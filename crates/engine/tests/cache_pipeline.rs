@@ -110,9 +110,8 @@ fn partial_overlap_executes_only_uncached_groups() {
         Some(vec!["MLP1".into(), "ResNet18".into()]),
     );
 
-    // Two worker threads: the scheduler's inline path (sequential engines,
-    // single-job batches) bypasses the jobs counter, and this test is
-    // precisely about counting scheduled jobs.
+    // The scheduler's `jobs` counter counts every executed sweep point,
+    // inline or threaded, which is what this test is about.
     let priming = Engine::new(2).with_cache(store.clone());
     one.run(&priming).expect("priming run");
     let one_net_jobs = priming.sched_stats().jobs;
@@ -173,26 +172,26 @@ fn fully_cached_sharded_rerun_launches_no_workers() {
 }
 
 #[test]
-fn check_aliases_match_and_cache_usage_errors_exit_2() {
+fn retired_check_aliases_and_cache_usage_errors_exit_2() {
     let report_path = scratch("alias.report.json");
     let report = fig12b_spec().run(&Engine::sequential()).expect("in-process run");
     std::fs::write(&report_path, to_json(&report)).expect("write report");
     let path = report_path.to_str().expect("utf-8 temp path");
 
-    // The deprecated spellings stay byte-compatible with `check {report,trace}`.
-    let new = run_cli(&["check", "report", path], &[]);
-    assert!(new.status.success(), "{}", stderr_of(&new));
-    let old = run_cli(&["check-report", path], &[]);
-    assert_eq!(new.stdout, old.stdout, "check-report diverged from `check report`");
+    let checked = run_cli(&["check", "report", path], &[]);
+    assert!(checked.status.success(), "{}", stderr_of(&checked));
 
-    // `cache …` without a resolvable store, unknown check targets, and
-    // --cache on modes that cannot use it are usage errors, not runtime ones.
+    // The retired `check-report` / `check-trace` spellings, `cache …`
+    // without a resolvable store, unknown check targets, and --cache on
+    // modes that cannot use it are usage errors, not runtime ones.
     for args in [
+        &["check-report", path][..],
+        &["check-trace", path][..],
         &["cache", "stats"][..],
         &["check", "nonsense", path][..],
         &["check", "report"][..],
         &["cache", "shrink"][..],
-        &["check-report", path, "--cache", "somewhere"][..],
+        &["check", "report", path, "--cache", "somewhere"][..],
         &["fig12b", "--emit-spec", "-", "--cache", "somewhere"][..],
     ] {
         let out = run_cli(args, &[]);

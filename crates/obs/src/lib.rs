@@ -1,10 +1,10 @@
-//! Observability primitives for the GradPIM workspace: tracing spans,
-//! a unified metrics registry, and the measured-cost feedback store.
+//! Observability primitives for the GradPIM workspace: tracing spans and
+//! a unified metrics registry.
 //!
 //! This crate is a **leaf**: std-only, zero dependencies, depended on by
 //! `gradpim-sim` (phase executors), `gradpim-engine` (scheduler, shard
 //! coordinator, sweeps), and `gradpim-cli` (experiment stages) — it never
-//! sees their types, it only records what they tell it. Three subsystems
+//! sees their types, it only records what they tell it. Both subsystems
 //! share the crate because they share one invariant, *non-perturbation*:
 //!
 //! * **Spans** ([`span`], [`instant`], [`SpanRec`]) — wall-clock intervals
@@ -18,10 +18,6 @@
 //!   [`Registry`]) — named counters and min/max/sum/count histograms with
 //!   a deterministic (BTreeMap-ordered) JSON rendering, replacing ad-hoc
 //!   env-var stderr dumps.
-//! * **Measured cost** ([`record_measured_cost`], [`measured_cost`],
-//!   [`cost_feedback`]) — observed per-sweep-point durations keyed by
-//!   workload shape, so `gradpim_engine::sched::cost` can prefer observed
-//!   cost over its static model under `GRADPIM_COST=measured`.
 //!
 //! Everything is **off by default** and never touches stdout: simulated
 //! results must stay byte-identical with tracing on or off, and emission
@@ -32,12 +28,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod env;
-
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -238,13 +232,12 @@ pub fn inject(spans: Vec<SpanRec>) {
     lock_unpoisoned(&INJECTED).extend(spans);
 }
 
-/// Clears all recorded spans, injected spans, metrics, and measured
-/// costs — for tests that assert on global state. Enable flags and
-/// thread-id assignments are left alone.
+/// Clears all recorded spans, injected spans, and metrics — for tests
+/// that assert on global state. Enable flags and thread-id assignments
+/// are left alone.
 pub fn reset() {
     drop(drain_spans());
     *lock_unpoisoned(&REGISTRY) = Registry::default();
-    lock_unpoisoned(&MEASURED).clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -398,55 +391,6 @@ pub fn registry() -> Registry {
     lock_unpoisoned(&REGISTRY).clone()
 }
 
-// ---------------------------------------------------------------------------
-// Measured-cost feedback (GRADPIM_COST=measured)
-// ---------------------------------------------------------------------------
-
-static MEASURED: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-/// 0 = follow the environment, 1 = forced on, 2 = forced off.
-static COST_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// True when measured-cost feedback is enabled: `GRADPIM_COST=measured`
-/// in the environment, or a [`set_cost_feedback`] override. Dispatch
-/// *order* is the only thing cost feedback can change — results are
-/// order-independent by the scheduler's contract — so flipping this
-/// never perturbs reports.
-pub fn cost_feedback() -> bool {
-    match COST_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env::cost_measured(),
-    }
-}
-
-/// Overrides [`cost_feedback`]: `Some(on)` forces, `None` returns to the
-/// environment variable. For tests and embedders.
-pub fn set_cost_feedback(force: Option<bool>) {
-    COST_OVERRIDE.store(
-        match force {
-            Some(true) => 1,
-            Some(false) => 2,
-            None => 0,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Records the observed duration of one sweep point, keyed by its
-/// workload shape (see `gradpim_engine::sched::cost::cost_key`). Last
-/// observation wins. No-op unless [`cost_feedback`] is on.
-pub fn record_measured_cost(key: &str, nanos: u64) {
-    if !cost_feedback() {
-        return;
-    }
-    lock_unpoisoned(&MEASURED).insert(key.to_string(), nanos.max(1));
-}
-
-/// The last recorded duration for a workload-shape key, if any.
-pub fn measured_cost(key: &str) -> Option<u64> {
-    lock_unpoisoned(&MEASURED).get(key).copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,23 +511,6 @@ mod tests {
         observe("ghost_h", 1.0);
         assert!(registry().is_empty());
         assert_eq!(registry().to_json(), "{\n  \"counters\": {},\n  \"histograms\": {}\n}\n");
-    }
-
-    #[test]
-    fn measured_costs_follow_the_feedback_flag() {
-        let _s = serial();
-        reset();
-        set_cost_feedback(Some(false));
-        record_measured_cost("sweep/1/2/3", 500);
-        assert_eq!(measured_cost("sweep/1/2/3"), None);
-        set_cost_feedback(Some(true));
-        assert!(cost_feedback());
-        record_measured_cost("sweep/1/2/3", 500);
-        record_measured_cost("sweep/1/2/3", 900); // last wins
-        assert_eq!(measured_cost("sweep/1/2/3"), Some(900));
-        record_measured_cost("sweep/0/0/0", 0); // clamped: costs are never 0
-        assert_eq!(measured_cost("sweep/0/0/0"), Some(1));
-        set_cost_feedback(None);
     }
 
     #[test]

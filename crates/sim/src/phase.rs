@@ -330,13 +330,13 @@ impl PhaseResult {
     }
 }
 
-/// Feeds the phase's headline observables (scaled wall-clock, raw
-/// simulated cycles, scaled energy) into the metrics registry — a no-op
-/// unless metrics are enabled — and passes the result through, so every
-/// executor records through one line.
+/// Feeds the phase's headline observables (scaled simulated DRAM time,
+/// which is not host time; raw simulated cycles; scaled energy) into the
+/// metrics registry — a no-op unless metrics are enabled — and passes the
+/// result through, so every executor records through one line.
 fn observed(context: &'static str, result: PhaseResult) -> PhaseResult {
     if gradpim_obs::metrics_enabled() {
-        gradpim_obs::observe(&format!("phase.{context}.wall_ns"), result.time_ns);
+        gradpim_obs::observe(&format!("phase.{context}.sim_ns"), result.time_ns);
         gradpim_obs::observe(&format!("phase.{context}.sim_cycles"), result.sim_cycles as f64);
         gradpim_obs::observe(&format!("phase.{context}.energy_pj"), result.energy.total_pj());
     }

@@ -7,18 +7,14 @@
 //!   simulation points in figure order, and
 //! * each spec's [`run`](OpsBwSpec::run) method simulates exactly one point.
 //!
-//! The classic sequential entry points (`ops_bandwidth_sweep` & friends)
-//! simply map `run` over the specs in order. The `gradpim-engine` crate
-//! fans the same specs across a worker pool instead — sweep points share no
-//! state, so any schedule produces bit-identical points.
-//!
-//! Since the cache/engine unification, every family also implements the
-//! [`SweepFamily`] trait ([`OpsBandwidth`], [`BatchSize`], [`Precision`],
-//! [`LayerScatter`] here; the design-space and distributed-scaling families
-//! live in `gradpim-engine`), so executors, result caches, and the CLI can
-//! dispatch generically over row groups instead of matching on the
-//! experiment kind. The free functions remain as thin compatibility
-//! wrappers over the trait surface.
+//! Each family implements the [`SweepFamily`] trait ([`OpsBandwidth`],
+//! [`BatchSize`], [`Precision`], [`LayerScatter`] here; the design-space
+//! and distributed-scaling families live in `gradpim-engine`). That trait
+//! is the one dispatch surface: [`SweepFamily::report`] is the sequential
+//! reference, and `gradpim-engine`'s `ExperimentSpec::run` fans the same
+//! row groups across a worker pool, a result cache and shard workers —
+//! sweep points share no state, so any schedule produces bit-identical
+//! rows.
 
 use gradpim_dram::DramConfig;
 use gradpim_npu::NpuConfig;
@@ -217,33 +213,6 @@ pub fn ops_bandwidth_specs(net: &Network, quick: QuickCaps) -> Vec<OpsBwSpec> {
     out
 }
 
-/// Fig. 12a: speedup sensitivity to the operations/bandwidth ratio,
-/// sweeping MAC-array sizes over memory presets (the paper uses
-/// AlphaGoZero).
-///
-/// Deprecated thin wrapper: prefer the [`OpsBandwidth`] family's
-/// [`SweepFamily`] surface; this spelling is kept for one release so
-/// existing examples and benches compile unchanged.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn ops_bandwidth_sweep(net: &Network, quick: QuickCaps) -> Result<Vec<OpsBwPoint>, PhaseError> {
-    OpsBandwidth::specs(std::slice::from_ref(net), quick).iter().map(OpsBwSpec::run).collect()
-}
-
-/// Fig. 12a as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`OpsBandwidth`]'s
-/// [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn ops_bandwidth_report(net: &Network, quick: QuickCaps) -> Result<Report, PhaseError> {
-    OpsBandwidth::report(std::slice::from_ref(net), quick)
-}
-
 /// One row of the Fig. 12b minibatch sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPoint {
@@ -312,29 +281,6 @@ pub fn batch_specs(nets: &[Network], quick: QuickCaps) -> Vec<BatchSpec> {
         }
     }
     out
-}
-
-/// Fig. 12b: speedup vs minibatch size (16/32/64).
-///
-/// Deprecated thin wrapper: prefer the [`BatchSize`] family's
-/// [`SweepFamily`] surface.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn batch_sweep(nets: &[Network], quick: QuickCaps) -> Result<Vec<BatchPoint>, PhaseError> {
-    BatchSize::specs(nets, quick).iter().map(BatchSpec::run).collect()
-}
-
-/// Fig. 12b as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`BatchSize`]'s [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn batch_report(nets: &[Network], quick: QuickCaps) -> Result<Report, PhaseError> {
-    BatchSize::report(nets, quick)
 }
 
 /// One row of the Fig. 12c/d precision sweep.
@@ -418,33 +364,6 @@ pub fn precision_specs(nets: &[Network], quick: QuickCaps) -> Vec<PrecisionSpec>
         }
     }
     out
-}
-
-/// Fig. 12c/d: speedup and energy vs precision mix, each relative to the
-/// no-PIM baseline *at the same precision* (the paper's definition).
-///
-/// Deprecated thin wrapper: prefer the [`Precision`] family's
-/// [`SweepFamily`] surface.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn precision_sweep(
-    nets: &[Network],
-    quick: QuickCaps,
-) -> Result<Vec<PrecisionPoint>, PhaseError> {
-    Precision::specs(nets, quick).iter().map(PrecisionSpec::run).collect()
-}
-
-/// Fig. 12c/d as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`Precision`]'s [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn precision_report(nets: &[Network], quick: QuickCaps) -> Result<Report, PhaseError> {
-    Precision::report(nets, quick)
 }
 
 /// One point of the Fig. 13 layer-characterization scatter.
@@ -545,31 +464,6 @@ pub fn layer_specs(nets: &[Network], quick: QuickCaps) -> Vec<LayerSpec> {
         }
     }
     out
-}
-
-/// Fig. 13: per-layer speedup vs weight/activation ratio. Each layer is
-/// simulated as its own single-layer "network".
-///
-/// Deprecated thin wrapper: prefer the [`LayerScatter`] family's
-/// [`SweepFamily`] surface.
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn layer_scatter(nets: &[Network], quick: QuickCaps) -> Result<Vec<LayerPoint>, PhaseError> {
-    LayerScatter::specs(nets, quick).iter().map(LayerSpec::run).collect()
-}
-
-/// Fig. 13 as a structured [`Report`] (same points, tabular form).
-///
-/// Deprecated thin wrapper: prefer [`LayerScatter`]'s
-/// [`SweepFamily::report`].
-///
-/// # Errors
-///
-/// Propagates the first [`PhaseError`] from any simulated point.
-pub fn layer_report(nets: &[Network], quick: QuickCaps) -> Result<Report, PhaseError> {
-    LayerScatter::report(nets, quick)
 }
 
 /// [`SweepFamily`] for the Fig. 12a ops/bandwidth sweep. Each group is a
@@ -713,7 +607,8 @@ mod tests {
     fn batch_sweep_smaller_batches_gain_more() {
         // Fig. 12b: "smaller batch size leads to higher speedup".
         let nets = [models::resnet18()];
-        let pts = batch_sweep(&nets, QUICK).unwrap();
+        let pts: Vec<BatchPoint> =
+            batch_specs(&nets, QUICK).iter().map(BatchSpec::run).collect::<Result<_, _>>().unwrap();
         let s16 = pts.iter().find(|p| p.batch == 16).unwrap().speedup_pct;
         let s64 = pts.iter().find(|p| p.batch == 64).unwrap().speedup_pct;
         assert!(s16 > s64, "batch16 {s16} vs batch64 {s64}");
@@ -723,7 +618,11 @@ mod tests {
     fn precision_sweep_all_mixes_gain() {
         // Fig. 12c: 8/16, 16/32, 32/32 still provide meaningful speedups.
         let nets = [models::mlp()];
-        let pts = precision_sweep(&nets, QUICK).unwrap();
+        let pts: Vec<PrecisionPoint> = precision_specs(&nets, QUICK)
+            .iter()
+            .map(PrecisionSpec::run)
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert!(p.speedup_pct > 110.0, "{} gains only {}", p.mix, p.speedup_pct);
@@ -740,7 +639,8 @@ mod tests {
         // Fig. 13: "a clear correlation between the weight/activation ratio
         // and the speedup".
         let nets = [models::resnet18()];
-        let pts = layer_scatter(&nets, QUICK).unwrap();
+        let pts: Vec<LayerPoint> =
+            layer_specs(&nets, QUICK).iter().map(LayerSpec::run).collect::<Result<_, _>>().unwrap();
         let lo: Vec<&LayerPoint> = pts.iter().filter(|p| p.ratio < 1.0).collect();
         let hi: Vec<&LayerPoint> = pts.iter().filter(|p| p.ratio > 10.0).collect();
         assert!(!lo.is_empty() && !hi.is_empty());
@@ -752,8 +652,9 @@ mod tests {
     fn reports_are_tabular_views_of_points() {
         use crate::report::Value;
         let nets = [models::mlp()];
-        let pts = batch_sweep(&nets, QUICK).unwrap();
-        let rep = batch_report(&nets, QUICK).unwrap();
+        let pts: Vec<BatchPoint> =
+            batch_specs(&nets, QUICK).iter().map(BatchSpec::run).collect::<Result<_, _>>().unwrap();
+        let rep = BatchSize::report(&nets, QUICK).unwrap();
         assert_eq!(rep.rows.len(), pts.len());
         let names: Vec<&str> = rep.schema.columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["network", "batch", "speedup_pct"]);
@@ -783,15 +684,16 @@ mod tests {
 
     #[test]
     fn family_surface_matches_the_free_functions() {
-        // The trait is the canonical surface; the free wrappers and the
-        // trait must agree on enumeration, schema, and (byte-identical)
-        // simulated rows.
+        // The trait and the free spec builders must agree on enumeration,
+        // schema, and (byte-identical) simulated rows.
         let nets = [models::mlp()];
         assert_eq!(BatchSize::specs(&nets, QUICK).len(), batch_specs(&nets, QUICK).len());
         assert_eq!(OpsBandwidth::groups(&nets, QUICK).len(), 12, "one group per sweep point");
         assert_eq!(BatchSize::schema(), BatchPoint::schema());
         let via_trait = BatchSize::report(&nets, QUICK).unwrap();
-        let via_points = Report::from_points(&batch_sweep(&nets, QUICK).unwrap());
+        let points: Vec<BatchPoint> =
+            batch_specs(&nets, QUICK).iter().map(BatchSpec::run).collect::<Result<_, _>>().unwrap();
+        let via_points = Report::from_points(&points);
         assert_eq!(via_trait, via_points);
         // Groups carry exactly the rows the report shows, in figure order.
         let groups = LayerScatter::groups(&nets, QUICK);

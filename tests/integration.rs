@@ -318,35 +318,87 @@ fn adam_requires_extended_alu_device() {
     assert!(matches!(err, gradpim::core::GradPimError::Kernel(_)));
 }
 
-/// The parallel execution engine produces bit-identical sweep results to
-/// the sequential path, in the same order, across every sweep family —
-/// sweep points share no state, so only the wall clock may differ.
+/// Every experiment runs through one dispatch path: `ExperimentSpec::run`
+/// on a threaded engine reproduces the sequential engine and the family's
+/// sequential `SweepFamily::report` bit for bit, in the same order, and
+/// the scheduler's `jobs` counter counts the same simulated points on 1, 2
+/// and 4 threads.
 #[test]
 fn engine_sweeps_match_sequential_exactly() {
-    use gradpim::engine::{sweeps as par, Engine};
-    use gradpim::sim::sweeps as seq;
+    use gradpim::engine::serialize::{Experiment, ExperimentSpec};
+    use gradpim::engine::sweeps::{DesignSpace, Scaling};
+    use gradpim::engine::Engine;
+    use gradpim::sim::report::Report;
+    use gradpim::sim::sweeps::{
+        BatchSize, LayerScatter, OpsBandwidth, Precision, QuickCaps, SweepFamily,
+    };
+    use gradpim::sim::PhaseError;
+    use gradpim::workloads::Network;
+
+    type Sequential = fn(&[Network], QuickCaps) -> Result<Report, PhaseError>;
+    type SpecCount = fn(&[Network], QuickCaps) -> usize;
+    let families: [(Experiment, Sequential, SpecCount); 6] = [
+        (Experiment::Fig09, DesignSpace::report, |n, q| DesignSpace::specs(n, q).len()),
+        (Experiment::Fig12a, OpsBandwidth::report, |n, q| OpsBandwidth::specs(n, q).len()),
+        (Experiment::Fig12b, BatchSize::report, |n, q| BatchSize::specs(n, q).len()),
+        (Experiment::Fig12c, Precision::report, |n, q| Precision::specs(n, q).len()),
+        (Experiment::Fig13, LayerScatter::report, |n, q| LayerScatter::specs(n, q).len()),
+        (Experiment::Fig14, Scaling::report, |n, q| Scaling::specs(n, q).len()),
+    ];
+    assert_eq!(families.map(|(e, _, _)| e), Experiment::ALL);
 
     let quick = Some((1200, 16_000));
     let nets = [models::mlp()];
-    let engine = Engine::new(3);
+    for (experiment, sequential, spec_count) in families {
+        let spec = ExperimentSpec::new(experiment, quick, Some(vec![nets[0].name.clone()]));
+        let reference = sequential(&nets, quick).unwrap();
+        assert_eq!(spec.run(&Engine::new(3)).unwrap(), reference, "{experiment}: 3 threads");
 
-    assert_eq!(
-        seq::batch_sweep(&nets, quick).unwrap(),
-        par::batch_sweep(&nets, quick, &engine).unwrap()
-    );
-    assert_eq!(
-        seq::precision_sweep(&nets, quick).unwrap(),
-        par::precision_sweep(&nets, quick, &engine).unwrap()
-    );
-    assert_eq!(
-        seq::layer_scatter(&nets, quick).unwrap(),
-        par::layer_scatter(&nets, quick, &engine).unwrap()
-    );
-    // And the sequential-engine fallback is the same code path end to end.
-    assert_eq!(
-        seq::batch_sweep(&nets, quick).unwrap(),
-        par::batch_sweep(&nets, quick, &Engine::sequential()).unwrap()
-    );
+        // A work counter, not a dispatch counter: one job per simulated
+        // spec, whatever the thread count.
+        for engine in [Engine::sequential(), Engine::new(2), Engine::new(4)] {
+            let threads = engine.threads();
+            assert_eq!(spec.run(&engine).unwrap(), reference, "{experiment}: {threads} threads");
+            assert_eq!(
+                engine.sched_stats().jobs,
+                spec_count(&nets, quick) as u64,
+                "{experiment}: jobs on {threads} threads"
+            );
+        }
+    }
+}
+
+/// Distributed scaling through the engine (Fig. 14's spec) agrees with
+/// direct `distributed_step` calls, row by row.
+#[test]
+fn engine_distributed_scaling_matches_direct_steps() {
+    use gradpim::engine::serialize::{Experiment, ExperimentSpec, FIG14_NODES};
+    use gradpim::engine::sweeps::ScalingRow;
+    use gradpim::engine::Engine;
+    use gradpim::sim::report::ToRow;
+    use gradpim::sim::{distributed_step, DistConfig};
+
+    let quick = Some((1200, 16_000));
+    let net = models::mlp();
+    let spec = ExperimentSpec::new(Experiment::Fig14, quick, Some(vec![net.name.clone()]));
+    let report = spec.run(&Engine::new(2)).unwrap();
+    let mk = |design| {
+        let mut sys = SystemConfig::new(design);
+        sys.max_sim_bursts = 1200;
+        sys.max_sim_params = 16_000;
+        sys
+    };
+    assert_eq!(report.rows.len(), FIG14_NODES.len());
+    for (row, nodes) in report.rows.iter().zip(FIG14_NODES) {
+        let dist = DistConfig { nodes, ..DistConfig::paper_default() };
+        let direct = ScalingRow {
+            network: net.name.clone(),
+            nodes,
+            baseline: distributed_step(&mk(Design::Baseline), &net, &dist).unwrap(),
+            gradpim: distributed_step(&mk(Design::GradPimBuffered), &net, &dist).unwrap(),
+        };
+        assert_eq!(*row, direct.row(), "nodes={nodes}");
+    }
 }
 
 /// The structured-results pipeline end to end: a sweep spec that
@@ -358,14 +410,14 @@ fn engine_sweeps_match_sequential_exactly() {
 fn spec_pipeline_reproduces_in_process_numbers_bit_identically() {
     use gradpim::engine::serialize::{Experiment, ExperimentSpec};
     use gradpim::engine::{report, Engine};
+    use gradpim::sim::sweeps::{OpsBandwidth, SweepFamily};
 
     let quick = Some((1200, 16_000));
     let spec = ExperimentSpec::new(Experiment::Fig12a, quick, None);
     let spec = ExperimentSpec::from_json(&spec.to_json()).unwrap();
     let via_spec = spec.run(&Engine::sequential()).unwrap();
-    let direct =
-        gradpim::sim::sweeps::ops_bandwidth_report(&models::alphago_zero(), quick).unwrap();
-    assert_eq!(via_spec, direct, "spec path diverged from the direct sweep");
+    let direct = OpsBandwidth::report(&[models::alphago_zero()], quick).unwrap();
+    assert_eq!(via_spec, direct, "spec path diverged from the sequential sweep");
     assert_eq!(spec.run(&Engine::new(4)).unwrap(), direct, "threaded engine diverged");
 
     // Emit → parse → emit is a byte no-op on real sweep numbers.
@@ -378,29 +430,4 @@ fn spec_pipeline_reproduces_in_process_numbers_bit_identically() {
     let csv = report::to_csv(&direct);
     assert_eq!(csv.lines().count(), direct.rows.len() + 1);
     assert!(csv.starts_with("network,memory,mac_dim,ops_per_byte,speedup_pct\n"));
-}
-
-/// Distributed scaling through the engine agrees with direct
-/// `distributed_step` calls, row by row.
-#[test]
-fn engine_distributed_scaling_matches_direct_steps() {
-    use gradpim::engine::{sweeps as par, Engine};
-    use gradpim::sim::{distributed_step, DistConfig};
-
-    let quick = Some((1200, 16_000));
-    let net = models::mlp();
-    let rows = par::distributed_scaling(&net, &[2, 4], quick, &Engine::new(2)).unwrap();
-    for row in &rows {
-        let mk = |design| {
-            let mut sys = SystemConfig::new(design);
-            sys.max_sim_bursts = 1200;
-            sys.max_sim_params = 16_000;
-            sys
-        };
-        let dist = DistConfig { nodes: row.nodes, ..DistConfig::paper_default() };
-        let base = distributed_step(&mk(Design::Baseline), &net, &dist).unwrap();
-        let pim = distributed_step(&mk(Design::GradPimBuffered), &net, &dist).unwrap();
-        assert_eq!(row.baseline, base, "nodes={}", row.nodes);
-        assert_eq!(row.gradpim, pim, "nodes={}", row.nodes);
-    }
 }
